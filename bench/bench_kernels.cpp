@@ -10,7 +10,10 @@
 // and MINDIST kernels); speedup_vs_scalar compares each tier's measured
 // ns/call against the scalar tier of the same kernel (scalar entries run
 // first and seed the baseline, so filter expressions that exclude scalar
-// report 0). CI uploads the JSON as BENCH_kernels.json to track the
+// report 0). The sortable-key codec (InterleaveSax / DeinterleaveKey) is
+// plain C++ with no ISA tiers; it is measured per key at the 16x8 and 8x4
+// shapes, since exact search decodes the key of every entry it examines.
+// CI uploads the JSON as BENCH_kernels.json to track the
 // scalar-vs-SIMD gap over time; single-core runners measure exactly this
 // per-core kernel throughput, not any parallel speedup.
 #include <benchmark/benchmark.h>
@@ -26,6 +29,7 @@
 #include "series/breakpoints.h"
 #include "series/kernels.h"
 #include "series/series.h"
+#include "series/sortable.h"
 
 namespace coconut {
 namespace bench {
@@ -177,6 +181,55 @@ void BM_MinDist(benchmark::State& state, k::Isa isa) {
   });
 }
 
+/// A pool of random words of one shape and their keys, cycled through so
+/// the codec cannot be folded to a constant.
+struct CodecData {
+  series::SaxConfig cfg;
+  std::vector<series::SaxWord> words;
+  std::vector<series::SortableKey> keys;
+};
+
+constexpr size_t kCodecPool = 256;
+
+CodecData MakeCodecData(int segments, int bits) {
+  CodecData d;
+  d.cfg = series::SaxConfig{.series_length = kLength,
+                            .num_segments = segments,
+                            .bits_per_segment = bits};
+  Rng rng(static_cast<uint64_t>(segments * 8 + bits));
+  for (size_t i = 0; i < kCodecPool; ++i) {
+    series::SaxWord w{};
+    for (int s = 0; s < segments; ++s) {
+      w[s] = static_cast<uint8_t>(rng.NextBounded(1u << bits));
+    }
+    d.words.push_back(w);
+    d.keys.push_back(series::InterleaveSax(w, d.cfg));
+  }
+  return d;
+}
+
+void BM_InterleaveSax(benchmark::State& state, int segments, int bits) {
+  const CodecData d = MakeCodecData(segments, bits);
+  size_t i = 0;
+  for (auto _ : state) {
+    series::SortableKey key = series::InterleaveSax(d.words[i], d.cfg);
+    benchmark::DoNotOptimize(key);
+    i = (i + 1) % kCodecPool;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+void BM_DeinterleaveKey(benchmark::State& state, int segments, int bits) {
+  const CodecData d = MakeCodecData(segments, bits);
+  size_t i = 0;
+  for (auto _ : state) {
+    series::SaxWord word = series::DeinterleaveKey(d.keys[i], d.cfg);
+    benchmark::DoNotOptimize(word);
+    i = (i + 1) % kCodecPool;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
 void RegisterAll() {
   struct Entry {
     const char* name;
@@ -194,6 +247,21 @@ void RegisterAll() {
       benchmark::RegisterBenchmark(name.c_str(), e.fn, isa)
           ->Unit(benchmark::kNanosecond);
     }
+  }
+  struct Shape {
+    const char* name;
+    int segments;
+    int bits;
+  };
+  for (const Shape& shape : {Shape{"16x8", 16, 8}, Shape{"8x4", 8, 4}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_InterleaveSax/") + shape.name).c_str(),
+        BM_InterleaveSax, shape.segments, shape.bits)
+        ->Unit(benchmark::kNanosecond);
+    benchmark::RegisterBenchmark(
+        (std::string("BM_DeinterleaveKey/") + shape.name).c_str(),
+        BM_DeinterleaveKey, shape.segments, shape.bits)
+        ->Unit(benchmark::kNanosecond);
   }
 }
 

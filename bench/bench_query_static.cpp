@@ -57,26 +57,35 @@ void RunQuery(benchmark::State& state, palm::IndexFamily family,
   PreparedIndex* prepared = Prepare(family, materialized);
   const auto& collection = AstroCollection(kCount);
   auto queries = workload::MakeNoisyQueries(collection, 64, 0.4, kQuerySeed);
+  auto search = [&](size_t q, core::QueryCounters* counters) {
+    const auto& query = queries[q % queries.size()];
+    return exact ? prepared->index->ExactSearch(query, {}, counters)
+                 : prepared->index->ApproxSearch(query, {}, counters);
+  };
 
-  core::QueryCounters counters;
-  storage::IoStats io;
   size_t q = 0;
+  for (auto _ : state) {
+    auto result = search(q++, nullptr);
+    benchmark::DoNotOptimize(result.value().distance_sq);
+  }
+
+  // Per-query counts come from one untimed pass over every query, so they
+  // do not depend on how many iterations google-benchmark chose to run.
+  core::QueryCounters counters;
   prepared->arena.storage->tracker()->Clear();
   prepared->arena.storage->tracker()->Enable();
   const storage::IoStats before = *prepared->arena.storage->io_stats();
-  for (auto _ : state) {
-    auto result =
-        exact ? prepared->index->ExactSearch(queries[q % queries.size()], {},
-                                             &counters)
-              : prepared->index->ApproxSearch(queries[q % queries.size()], {},
-                                              &counters);
-    benchmark::DoNotOptimize(result.value().distance_sq);
-    ++q;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!search(i, &counters).ok()) {
+      state.SkipWithError("query failed");
+      break;
+    }
   }
-  io = prepared->arena.storage->io_stats()->Since(before);
+  const storage::IoStats io =
+      prepared->arena.storage->io_stats()->Since(before);
   prepared->arena.storage->tracker()->Disable();
 
-  const double per_query = q > 0 ? 1.0 / q : 0.0;
+  const double per_query = 1.0 / static_cast<double>(queries.size());
   state.counters["reads_per_query"] =
       static_cast<double>(io.total_reads()) * per_query;
   state.counters["raw_fetches_per_query"] =

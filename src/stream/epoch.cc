@@ -54,8 +54,12 @@ thread_local ThreadState t_state;
 }  // namespace
 
 EpochManager& EpochManager::Global() {
-  static EpochManager manager;
-  return manager;
+  // Never destroyed: a function-static owner built before the manager
+  // (say, a cache of indexes) is destroyed after it and may still retire
+  // memory into it at exit. The manager stays reachable, so leak checkers
+  // do not report what it holds.
+  static EpochManager* manager = new EpochManager;
+  return *manager;
 }
 
 EpochManager::~EpochManager() {

@@ -218,7 +218,11 @@ class EpochChurnTest : public ::testing::Test {
     auto* tp = dynamic_cast<TemporalPartitioningIndex*>(stream.get());
 
     std::atomic<bool> stop{false};
-    std::atomic<size_t> acknowledged{0};
+    // Entries whose Ingest call has begun. Stored before each call, not
+    // after it returns: a call that fills the buffer hands the seal to the
+    // background pool, which can publish a partition holding that very
+    // entry before the call returns.
+    std::atomic<size_t> issued{0};
 
     // Fixed probes: over a grow-only index the exact nearest distance for
     // a fixed query is non-increasing. A reader that ever saw a worse
@@ -267,7 +271,8 @@ class EpochChurnTest : public ::testing::Test {
             sealed += part.entries;
             EXPECT_LE(part.t_min, part.t_max);
           }
-          EXPECT_LE(sealed, acknowledged.load(std::memory_order_acquire));
+          // Read after the snapshot: every entry it lists was issued first.
+          EXPECT_LE(sealed, issued.load(std::memory_order_acquire));
         }
         std::this_thread::yield();
       }
@@ -282,9 +287,9 @@ class EpochChurnTest : public ::testing::Test {
     // exactly the writer edge the epoch scheme must make safe.
     for (size_t i = 0; i < collection_.size(); ++i) {
       ASSERT_TRUE(raw_->Append(collection_[i]).ok());
+      issued.store(i + 1, std::memory_order_release);
       ASSERT_TRUE(
           stream->Ingest(i, collection_[i], static_cast<int64_t>(i)).ok());
-      acknowledged.store(i + 1, std::memory_order_release);
       if ((i + 1) % 150 == 0) {
         ASSERT_TRUE(stream->FlushAll().ok());
       }

@@ -313,6 +313,111 @@ TEST(SortableKeyTest, MinMaxAndHex) {
   EXPECT_EQ(SortableKey::Max().ToHex(), std::string(32, 'f'));
 }
 
+// The codec's original bit-at-a-time loops, kept as the reference the
+// table-driven InterleaveSax/DeinterleaveKey must match bit for bit.
+SortableKey ReferenceInterleave(const SaxWord& word, const SaxConfig& cfg) {
+  SortableKey key;
+  const int bits = cfg.bits_per_segment;
+  const int segs = cfg.num_segments;
+  for (int round = 0; round < bits; ++round) {
+    for (int seg = 0; seg < segs; ++seg) {
+      if (((word[seg] >> (bits - 1 - round)) & 1) != 0) {
+        const int t = round * segs + seg;
+        key.words[t / 64] |= 1ULL << (63 - (t % 64));
+      }
+    }
+  }
+  return key;
+}
+
+SaxWord ReferenceDeinterleave(const SortableKey& key, const SaxConfig& cfg) {
+  SaxWord word{};
+  const int bits = cfg.bits_per_segment;
+  const int segs = cfg.num_segments;
+  for (int round = 0; round < bits; ++round) {
+    for (int seg = 0; seg < segs; ++seg) {
+      const int t = round * segs + seg;
+      if (((key.words[t / 64] >> (63 - (t % 64))) & 1ULL) != 0) {
+        word[seg] =
+            static_cast<uint8_t>(word[seg] | (1u << (bits - 1 - round)));
+      }
+    }
+  }
+  return word;
+}
+
+// Clears every key bit at or past `key_bits`.
+SortableKey TruncateKey(SortableKey key, int key_bits) {
+  for (int w = 0; w < 2; ++w) {
+    const int keep = std::clamp(key_bits - 64 * w, 0, 64);
+    key.words[w] = keep == 0 ? 0 : key.words[w] & (~0ULL << (64 - keep));
+  }
+  return key;
+}
+
+TEST(SortableKeyCodecTest, MatchesReferenceOnEveryShape) {
+  for (int segments = 1; segments <= kMaxSegments; ++segments) {
+    for (int bits = 1; bits <= 8; ++bits) {
+      SCOPED_TRACE(::testing::Message() << segments << "x" << bits);
+      SaxConfig cfg{.series_length = 256, .num_segments = segments,
+                    .bits_per_segment = bits};
+      Rng rng(static_cast<uint64_t>(segments * 131 + bits));
+      for (int trial = 0; trial < 64; ++trial) {
+        SaxWord w{};
+        for (int s = 0; s < segments; ++s) {
+          w[s] = static_cast<uint8_t>(rng.NextBounded(1u << bits));
+        }
+        const SortableKey expected = ReferenceInterleave(w, cfg);
+        ASSERT_EQ(InterleaveSax(w, cfg), expected) << expected.ToHex();
+        ASSERT_EQ(DeinterleaveKey(expected, cfg),
+                  ReferenceDeinterleave(expected, cfg));
+
+        SortableKey arbitrary;
+        arbitrary.words = {rng.NextUint64(), rng.NextUint64()};
+        arbitrary = TruncateKey(arbitrary, cfg.key_bits());
+        const SaxWord decoded = DeinterleaveKey(arbitrary, cfg);
+        ASSERT_EQ(decoded, ReferenceDeinterleave(arbitrary, cfg))
+            << arbitrary.ToHex();
+        ASSERT_EQ(InterleaveSax(decoded, cfg), arbitrary) << arbitrary.ToHex();
+      }
+    }
+  }
+}
+
+TEST(SortableKeyCodecTest, GoldenKeysPinTheOnDiskFormat) {
+  struct Golden {
+    int segments;
+    int bits;
+    SaxWord word;
+    SortableKey key;
+  };
+  auto word_of = [](int segments, auto symbol) {
+    SaxWord w{};
+    for (int s = 0; s < segments; ++s) w[s] = static_cast<uint8_t>(symbol(s));
+    return w;
+  };
+  const Golden golden[] = {
+      {16, 8, word_of(16, [](int s) { return s * 17; }),
+       SortableKey({0x00ff0f0f33335555ULL, 0x00ff0f0f33335555ULL})},
+      {16, 8, word_of(16, [](int s) { return (s * 73 + 41) & 255; }),
+       SortableKey({0x264c4a95e1c366cdULL, 0xab541e1e6666aaaaULL})},
+      {8, 4, word_of(8, [](int s) { return s * 2 + 1; }),
+       SortableKey({0x0f3355ff00000000ULL, 0})},
+      {5, 6, word_of(5, [](int s) { return (s * 37 + 11) & 63; }),
+       SortableKey({0x53e659d400000000ULL, 0})},
+      {3, 5, SaxWord{31, 0, 21}, SortableKey({0xb2ca000000000000ULL, 0})},
+      {16, 1, word_of(16, [](int s) { return s & 1; }),
+       SortableKey({0x5555000000000000ULL, 0})},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(::testing::Message() << g.segments << "x" << g.bits);
+    SaxConfig cfg{.series_length = 256, .num_segments = g.segments,
+                  .bits_per_segment = g.bits};
+    EXPECT_EQ(InterleaveSax(g.word, cfg).ToHex(), g.key.ToHex());
+    EXPECT_EQ(DeinterleaveKey(g.key, cfg), g.word);
+  }
+}
+
 // ---------------------------------------------------------------- distances
 
 TEST(DistanceTest, EuclideanSquaredBasics) {
